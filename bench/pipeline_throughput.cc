@@ -37,6 +37,7 @@
 #include "src/ml/tree.h"
 #include "src/report/render.h"
 #include "src/support/fault_injection.h"
+#include "src/support/scratch_dir.h"
 #include "src/support/strings.h"
 #include "src/support/thread_pool.h"
 
@@ -544,8 +545,8 @@ bool PrintShardScaling(bool smoke, JsonSink& json) {
   const auto ecosystem = smoke
                              ? benchcommon::MakeEcosystem(0.01, 24, 4)
                              : benchcommon::MakeEcosystem(benchcommon::EnvScale(0.01));
-  const std::string work_dir = "BENCH_shard_work";
-  ::mkdir(work_dir.c_str(), 0755);
+  const support::ScratchDir scratch("bench_shard_work");
+  const std::string& work_dir = scratch.path();
   clair::TestbedOptions testbed_options;
   testbed_options.deep_analysis_max_files = 1;
   testbed_options.cache_features = false;
@@ -727,15 +728,15 @@ bool PrintIncremental(bool smoke) {
   const double noop_seconds = Seconds(t_noop0, std::chrono::steady_clock::now());
 
   // Bit-identity: the warm result must equal from-scratch extraction of the
-  // edited tree — both through fresh granular caches and through the
-  // module-level path with the granular layer disabled.
+  // edited tree — both through fresh caches and with the function cache
+  // disabled (every payload computed fresh and folded the same way).
   const clair::Testbed scratch(ecosystem, options);
-  clair::TestbedOptions module_options = options;
-  module_options.cache_functions = false;
-  const clair::Testbed module_path(ecosystem, module_options);
+  clair::TestbedOptions uncached_options = options;
+  uncached_options.cache_functions = false;
+  const clair::Testbed uncached(ecosystem, uncached_options);
   const bool identical =
       warm_features.values() == scratch.ExtractFeatures(edited).values() &&
-      warm_features.values() == module_path.ExtractFeatures(edited).values() &&
+      warm_features.values() == uncached.ExtractFeatures(edited).values() &&
       replay_features.values() == warm_features.values();
 
   const double speedup = cold_seconds / warm_seconds;

@@ -9,7 +9,6 @@
 // into one dataset that is byte-identical to a single-process
 // Testbed::Collect — then trains from the merged rows, the
 // train-once/ship-the-rows workflow.
-#include <sys/stat.h>
 
 #include <cstdio>
 
@@ -19,6 +18,7 @@
 #include "src/clair/system.h"
 #include "src/corpus/codegen.h"
 #include "src/corpus/ecosystem.h"
+#include "src/support/scratch_dir.h"
 #include "src/support/thread_pool.h"
 
 namespace {
@@ -68,13 +68,15 @@ int main(int argc, char** argv) {
   clair::ShardSweepOptions sweep;
   sweep.num_shards = 8;
   sweep.num_workers = 3;
-  sweep.work_dir = "fleet_audit_work";
+  // A private scratch directory per run, so concurrent audits never delete
+  // each other's shard checkpoints.
+  const support::ScratchDir scratch("fleet_audit_work");
+  sweep.work_dir = scratch.path();
   sweep.collect_function_rows = false;  // This audit trains on app rows only.
   sweep.testbed = FleetTestbed();
   // Real subprocesses heartbeat once per app in wall time; size the lease
   // so only a genuinely dead or wedged worker gets its shard stolen.
   sweep.lease_ttl_ticks = 2000;
-  ::mkdir(sweep.work_dir.c_str(), 0755);
   std::printf("sweeping %d shards with %d forked workers (lease TTL %d ticks)\n",
               sweep.num_shards, sweep.num_workers, sweep.lease_ttl_ticks);
   clair::ShardCoordinator coordinator(

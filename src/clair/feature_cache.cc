@@ -13,7 +13,7 @@ namespace {
 // deterministic in insertion order.
 constexpr uint64_t kEntryOverhead = 64;
 
-uint64_t EstimateFeatureBytes(const metrics::FeatureVector& features) {
+uint64_t EstimateBytes(const metrics::FeatureVector& features) {
   uint64_t bytes = kEntryOverhead;
   for (const auto& [name, value] : features.values()) {
     (void)value;
@@ -22,9 +22,17 @@ uint64_t EstimateFeatureBytes(const metrics::FeatureVector& features) {
   return bytes;
 }
 
-uint64_t EstimateRowBytes(const std::vector<double>& row) {
+uint64_t EstimateBytes(const std::vector<double>& row) {
   return kEntryOverhead + row.size() * sizeof(double);
 }
+
+// CorruptEntryForTest's edit: changes the stored contents and leaves the
+// checksum stale, so only a checksum over the contents catches it.
+void CorruptValue(metrics::FeatureVector* features) {
+  features->Set("corrupted.by.test", features->Get("corrupted.by.test") + 1.0);
+}
+
+void CorruptValue(std::vector<double>* row) { row->push_back(1.0); }
 
 }  // namespace
 
@@ -51,7 +59,7 @@ uint64_t HashSourceFiles(const std::vector<metrics::SourceFile>& files,
   return hash;
 }
 
-uint64_t ChecksumFeatures(const metrics::FeatureVector& features) {
+uint64_t ChecksumRow(const metrics::FeatureVector& features) {
   uint64_t hash = Fnv1a64("clair.feature_cache.row.v1");
   for (const auto& [name, value] : features.values()) {
     hash = Fnv1a64(name, hash);
@@ -74,7 +82,8 @@ uint64_t ChecksumRow(const std::vector<double>& row) {
   return hash;
 }
 
-bool FeatureCache::Lookup(uint64_t key, metrics::FeatureVector* out) const {
+template <typename Value>
+bool ContentCache<Value>::Lookup(uint64_t key, Value* out) const {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     const auto it = entries_.find(key);
@@ -85,8 +94,8 @@ bool FeatureCache::Lookup(uint64_t key, metrics::FeatureVector* out) const {
       // caller recomputes instead of training on a corrupt row.
       const bool injected = support::FaultInjector::Global().ShouldFail(
           support::FaultSite::kCache, key);
-      if (!injected && ChecksumFeatures(it->second.features) == it->second.checksum) {
-        *out = it->second.features;
+      if (!injected && ChecksumRow(it->second.value) == it->second.checksum) {
+        *out = it->second.value;
         hits_.fetch_add(1, std::memory_order_relaxed);
         return true;
       }
@@ -99,22 +108,24 @@ bool FeatureCache::Lookup(uint64_t key, metrics::FeatureVector* out) const {
   return false;
 }
 
-void FeatureCache::Insert(uint64_t key, const metrics::FeatureVector& features) {
+template <typename Value>
+void ContentCache<Value>::Insert(uint64_t key, const Value& value) {
   std::lock_guard<std::mutex> lock(mutex_);
-  const uint64_t size = EstimateFeatureBytes(features);
+  const uint64_t size = EstimateBytes(value);
   auto it = entries_.find(key);
   if (it != entries_.end()) {
     bytes_ -= it->second.bytes;
-    it->second = Entry{features, ChecksumFeatures(features), size};
+    it->second = Entry{value, ChecksumRow(value), size};
   } else {
-    entries_[key] = Entry{features, ChecksumFeatures(features), size};
+    entries_[key] = Entry{value, ChecksumRow(value), size};
     order_.push_back(key);
   }
   bytes_ += size;
   EvictOverCapLocked();
 }
 
-void FeatureCache::EvictOverCapLocked() {
+template <typename Value>
+void ContentCache<Value>::EvictOverCapLocked() {
   while (entries_.size() > max_entries_ ||
          (max_bytes_ != 0 && bytes_ > max_bytes_ && !entries_.empty())) {
     if (order_.empty()) {
@@ -132,7 +143,8 @@ void FeatureCache::EvictOverCapLocked() {
   }
 }
 
-FeatureCacheStats FeatureCache::stats() const {
+template <typename Value>
+FeatureCacheStats ContentCache<Value>::stats() const {
   FeatureCacheStats stats;
   stats.hits = hits_.load(std::memory_order_relaxed);
   stats.misses = misses_.load(std::memory_order_relaxed);
@@ -147,7 +159,8 @@ FeatureCacheStats FeatureCache::stats() const {
   return stats;
 }
 
-void FeatureCache::Clear() {
+template <typename Value>
+void ContentCache<Value>::Clear() {
   std::lock_guard<std::mutex> lock(mutex_);
   entries_.clear();
   order_.clear();
@@ -159,94 +172,18 @@ void FeatureCache::Clear() {
   coalesced_fills_.store(0, std::memory_order_relaxed);
 }
 
-bool FeatureCache::CorruptEntryForTest(uint64_t key) {
+template <typename Value>
+bool ContentCache<Value>::CorruptEntryForTest(uint64_t key) {
   std::lock_guard<std::mutex> lock(mutex_);
   const auto it = entries_.find(key);
   if (it == entries_.end()) {
     return false;
   }
-  it->second.features.Set("corrupted.by.test",
-                          it->second.features.Get("corrupted.by.test") + 1.0);
+  CorruptValue(&it->second.value);
   return true;
 }
 
-bool RowCache::Lookup(uint64_t key, std::vector<double>* out) const {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = entries_.find(key);
-    if (it != entries_.end()) {
-      const bool injected = support::FaultInjector::Global().ShouldFail(
-          support::FaultSite::kCache, key);
-      if (!injected && ChecksumRow(it->second.row) == it->second.checksum) {
-        *out = it->second.row;
-        hits_.fetch_add(1, std::memory_order_relaxed);
-        return true;
-      }
-      bytes_ -= it->second.bytes;
-      entries_.erase(it);
-      integrity_rejects_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  return false;
-}
-
-void RowCache::Insert(uint64_t key, const std::vector<double>& row) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const uint64_t size = EstimateRowBytes(row);
-  auto it = entries_.find(key);
-  if (it != entries_.end()) {
-    bytes_ -= it->second.bytes;
-    it->second = Entry{row, ChecksumRow(row), size};
-  } else {
-    entries_[key] = Entry{row, ChecksumRow(row), size};
-    order_.push_back(key);
-  }
-  bytes_ += size;
-  EvictOverCapLocked();
-}
-
-void RowCache::EvictOverCapLocked() {
-  while (entries_.size() > max_entries_ ||
-         (max_bytes_ != 0 && bytes_ > max_bytes_ && !entries_.empty())) {
-    if (order_.empty()) {
-      return;
-    }
-    const uint64_t victim = order_.front();
-    order_.pop_front();
-    const auto it = entries_.find(victim);
-    if (it == entries_.end()) {
-      continue;
-    }
-    bytes_ -= it->second.bytes;
-    entries_.erase(it);
-    evictions_.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-FeatureCacheStats RowCache::stats() const {
-  FeatureCacheStats stats;
-  stats.hits = hits_.load(std::memory_order_relaxed);
-  stats.misses = misses_.load(std::memory_order_relaxed);
-  stats.evictions = evictions_.load(std::memory_order_relaxed);
-  stats.integrity_rejects = integrity_rejects_.load(std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stats.entries = entries_.size();
-    stats.bytes = bytes_;
-  }
-  return stats;
-}
-
-void RowCache::Clear() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  entries_.clear();
-  order_.clear();
-  bytes_ = 0;
-  hits_.store(0, std::memory_order_relaxed);
-  misses_.store(0, std::memory_order_relaxed);
-  evictions_.store(0, std::memory_order_relaxed);
-  integrity_rejects_.store(0, std::memory_order_relaxed);
-}
+template class ContentCache<metrics::FeatureVector>;
+template class ContentCache<std::vector<double>>;
 
 }  // namespace clair

@@ -10,12 +10,12 @@
 // thread-safe (the testbed sweep runs one task per app on the parallel
 // runtime) and exposes hit/miss counters for the throughput bench.
 //
-// Two granularities share the machinery:
+// One class template serves two granularities:
 //   - FeatureCache: FeatureVector values — whole-app rows (the L1 the
 //     testbed consults before extracting) and per-file metric vectors.
 //   - RowCache: flat vector<double> payloads — per-function analysis
-//     results (dataflow, intervals, symexec entries) keyed by normalized
-//     function-body token hashes, and fixed-schema function-rank rows.
+//     results (dataflow, intervals, symexec entries, dynamic batteries)
+//     keyed by normalized function-body token hashes.
 //
 // Both bound memory with byte-size accounting plus deterministic FIFO
 // eviction (insertion order; evictions are surfaced in stats so unbounded
@@ -45,10 +45,9 @@ uint64_t HashSourceFiles(const std::vector<metrics::SourceFile>& files,
                          uint64_t options_fingerprint);
 
 // Row checksum used by the integrity guard: a digest of every (name, value)
-// pair, stored beside the row at insert time and re-verified on lookup.
-uint64_t ChecksumFeatures(const metrics::FeatureVector& features);
-
-// Checksum of a flat payload row (RowCache's integrity guard).
+// pair (or every payload slot), stored beside the row at insert time and
+// re-verified on lookup.
+uint64_t ChecksumRow(const metrics::FeatureVector& features);
 uint64_t ChecksumRow(const std::vector<double>& row);
 
 struct FeatureCacheStats {
@@ -77,21 +76,24 @@ struct FeatureCacheStats {
   }
 };
 
-class FeatureCache {
+// `Value` is metrics::FeatureVector or std::vector<double> (the two explicit
+// instantiations in feature_cache.cc). Thread-safe.
+template <typename Value>
+class ContentCache {
  public:
   // `max_entries` bounds entry count; `max_bytes` (0 = unbounded) bounds the
   // approximate resident size. Exceeding either bound evicts the oldest
   // entries first (deterministic FIFO in insertion order).
-  explicit FeatureCache(size_t max_entries = 1 << 16, size_t max_bytes = 0)
+  explicit ContentCache(size_t max_entries = 1 << 16, size_t max_bytes = 0)
       : max_entries_(max_entries), max_bytes_(max_bytes) {}
 
   // Returns true and fills `out` on a valid hit. A stored row that fails the
   // integrity check is evicted and counted as integrity_rejects + a miss, so
   // the caller falls back to recomputation instead of consuming a corrupt
   // row. Counts a plain miss otherwise.
-  bool Lookup(uint64_t key, metrics::FeatureVector* out) const;
+  bool Lookup(uint64_t key, Value* out) const;
 
-  void Insert(uint64_t key, const metrics::FeatureVector& features);
+  void Insert(uint64_t key, const Value& value);
 
   FeatureCacheStats stats() const;
 
@@ -109,7 +111,7 @@ class FeatureCache {
 
  private:
   struct Entry {
-    metrics::FeatureVector features;
+    Value value;
     uint64_t checksum = 0;
     uint64_t bytes = 0;
   };
@@ -131,44 +133,11 @@ class FeatureCache {
   mutable std::atomic<uint64_t> coalesced_fills_{0};
 };
 
-// Function-granular payload cache: flat vector<double> rows keyed by
-// normalized body-token hashes (see incremental.h). Same integrity guard,
-// stats surface, and FIFO capacity policy as FeatureCache; payloads are
-// positional (the caller owns the schema), which keeps per-function entries
-// an order of magnitude smaller than named FeatureVectors.
-class RowCache {
- public:
-  explicit RowCache(size_t max_entries = 1 << 18, size_t max_bytes = 0)
-      : max_entries_(max_entries), max_bytes_(max_bytes) {}
-
-  bool Lookup(uint64_t key, std::vector<double>* out) const;
-
-  void Insert(uint64_t key, const std::vector<double>& row);
-
-  FeatureCacheStats stats() const;
-
-  void Clear();
-
- private:
-  struct Entry {
-    std::vector<double> row;
-    uint64_t checksum = 0;
-    uint64_t bytes = 0;
-  };
-
-  void EvictOverCapLocked();
-
-  size_t max_entries_;
-  size_t max_bytes_;
-  mutable std::mutex mutex_;
-  mutable std::unordered_map<uint64_t, Entry> entries_;
-  mutable std::deque<uint64_t> order_;
-  mutable uint64_t bytes_ = 0;
-  mutable std::atomic<uint64_t> hits_{0};
-  mutable std::atomic<uint64_t> misses_{0};
-  mutable std::atomic<uint64_t> evictions_{0};
-  mutable std::atomic<uint64_t> integrity_rejects_{0};
-};
+using FeatureCache = ContentCache<metrics::FeatureVector>;
+// Payloads are positional (the producing analysis owns the schema), which
+// keeps per-function entries an order of magnitude smaller than named
+// FeatureVectors.
+using RowCache = ContentCache<std::vector<double>>;
 
 }  // namespace clair
 

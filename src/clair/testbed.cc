@@ -6,8 +6,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <queue>
-#include <set>
+#include <optional>
 #include <sstream>
 #include <unordered_map>
 #include <utility>
@@ -26,9 +25,9 @@
 namespace clair {
 namespace {
 
-// Salts separating the function-granular payload namespaces inside the
-// shared RowCache / per-file FeatureCache: the same token hash must never
-// alias a dataflow row with an interval row.
+// Salts separating the payload namespaces inside the shared RowCache /
+// per-file FeatureCache: the same token hash must never alias a dataflow
+// row with an interval row.
 constexpr uint64_t kFileRowSalt = 0x8f11e50a7c01ULL;
 constexpr uint64_t kDataflowRowSalt = 0xda7af10aULL;
 constexpr uint64_t kIntervalsRowSalt = 0x17e2f0a1ULL;
@@ -43,24 +42,66 @@ uint64_t MixU64(uint64_t hash, uint64_t value) {
   return hash;
 }
 
-// §5.3's dynamic-trace extension: execute the module's call-graph roots on
-// random inputs and summarise runtime behaviour. `deadline` (not owned) is
-// threaded into the interpreter, which halts a trial gracefully on expiry;
-// the expiry is then re-raised here so the stage wrapper records a timeout
-// instead of caching a partially-sampled row.
-metrics::FeatureVector DynamicFeatures(const lang::IrModule& module, int trials,
-                                       uint64_t seed, support::Deadline* deadline) {
-  metrics::FeatureVector fv;
-  const metrics::CallGraph graph(module);
-  std::vector<std::string> entries;
-  if (module.FindFunction("main") != nullptr) {
-    entries.push_back("main");
-  } else {
-    entries = graph.Roots();
-    if (entries.size() > 8) {
-      entries.resize(8);  // Bound per-file cost on large modules.
+// Content addresses of one parsed file's payload units (see incremental.h).
+// Built only when the function cache is admitted.
+class UnitKeys {
+ public:
+  UnitKeys(const FileFunctionIndex& index, uint64_t options_fp)
+      : index_(index), options_fp_(options_fp) {
+    for (const auto& fp : index.functions) {
+      hash_by_name_[fp.name] = fp.token_hash;
     }
   }
+
+  // A per-function payload is keyed by the function's body-token hash. Empty
+  // for a function the token index does not know: computed, never cached.
+  std::optional<uint64_t> Function(uint64_t salt, const std::string& name) const {
+    const auto it = hash_by_name_.find(name);
+    if (it == hash_by_name_.end()) {
+      return std::nullopt;
+    }
+    return MixU64(MixU64(salt, it->second), options_fp_);
+  }
+
+  // An entry's exploration is a function of everything reachable from it:
+  // each reachable function's body-token hash, the file preamble (global
+  // initializers), the entry's RNG seed, and the options fingerprint.
+  uint64_t Closure(const metrics::CallGraph& graph, const std::string& entry,
+                   uint64_t rng_seed) const {
+    uint64_t key = MixU64(kSymexecRowSalt, options_fp_);
+    key = MixU64(key, index_.preamble_hash);
+    key = Fnv1a64(entry, key);
+    key = MixU64(key, rng_seed);
+    for (const auto& name : graph.ReachableFrom(entry)) {  // Sorted set.
+      key = Fnv1a64(name, key);
+      const auto it = hash_by_name_.find(name);
+      key = MixU64(key, it != hash_by_name_.end() ? it->second : 0x9e3779b97f4a7c15ULL);
+    }
+    return key;
+  }
+
+  // The trace stream depends on every function the entries reach, so a
+  // dynamic battery is keyed by the file's full token hash.
+  uint64_t Dynamic(uint64_t seed) const {
+    return MixU64(MixU64(MixU64(kDynamicRowSalt, options_fp_), index_.file_token_hash), seed);
+  }
+
+ private:
+  const FileFunctionIndex& index_;
+  uint64_t options_fp_;
+  std::map<std::string, uint64_t> hash_by_name_;
+};
+
+// §5.3's dynamic-trace extension, one file's payload: execute the module's
+// entry functions on random inputs and summarise runtime behaviour as
+// {1 if any run, runs, fault rate, abort rate, mean steps, branch density,
+// sink events per run, steps ticked on `deadline`}. The interpreter halts a
+// trial gracefully when `deadline` expires; the expiry is then re-raised
+// here so the stage wrapper records a timeout instead of caching a
+// partially-sampled row.
+std::vector<double> DynamicPayload(const lang::IrModule& module, int trials, uint64_t seed,
+                                   support::Deadline& deadline) {
+  const uint64_t before = deadline.steps_used();
   support::Rng rng(seed);
   long long runs = 0;
   long long faults = 0;
@@ -70,8 +111,9 @@ metrics::FeatureVector DynamicFeatures(const lang::IrModule& module, int trials,
   long long sink_events = 0;
   lang::InterpOptions interp_options;
   interp_options.max_steps = 1 << 14;
-  interp_options.deadline = deadline;
-  for (const auto& entry : entries) {
+  interp_options.deadline = &deadline;
+  // The root cap bounds per-file cost on large modules.
+  for (const auto& entry : metrics::EntryFunctions(module, 8)) {
     for (int t = 0; t < trials; ++t) {
       std::vector<int64_t> inputs;
       for (int i = 0; i < 16; ++i) {
@@ -81,9 +123,7 @@ metrics::FeatureVector DynamicFeatures(const lang::IrModule& module, int trials,
       }
       const auto trace =
           lang::Execute(module, entry, {0, 1, 2, 3}, std::move(inputs), interp_options);
-      if (deadline != nullptr) {
-        deadline->ThrowIfExpired("dynamic");
-      }
+      deadline.ThrowIfExpired("dynamic");
       ++runs;
       steps += static_cast<long long>(trace.steps);
       branches += static_cast<long long>(trace.branches);
@@ -96,14 +136,31 @@ metrics::FeatureVector DynamicFeatures(const lang::IrModule& module, int trials,
       }
     }
   }
-  if (runs > 0) {
-    fv.Set("dynamic.runs", static_cast<double>(runs));
-    fv.Set("dynamic.fault_rate", static_cast<double>(faults) / runs);
-    fv.Set("dynamic.abort_rate", static_cast<double>(aborted) / runs);
-    fv.Set("dynamic.mean_steps", static_cast<double>(steps) / runs);
-    fv.Set("dynamic.branch_density",
-           steps > 0 ? static_cast<double>(branches) / static_cast<double>(steps) : 0.0);
-    fv.Set("dynamic.sink_events_per_run", static_cast<double>(sink_events) / runs);
+  const double ticked = static_cast<double>(deadline.steps_used() - before);
+  if (runs == 0) {
+    return {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, ticked};
+  }
+  return {1.0,
+          static_cast<double>(runs),
+          static_cast<double>(faults) / runs,
+          static_cast<double>(aborted) / runs,
+          static_cast<double>(steps) / runs,
+          steps > 0 ? static_cast<double>(branches) / static_cast<double>(steps) : 0.0,
+          static_cast<double>(sink_events) / runs,
+          ticked};
+}
+
+// The dynamic fold: one file's payload as "dynamic.*" features (none when no
+// entry ran).
+metrics::FeatureVector DynamicFeatures(const std::vector<double>& row) {
+  metrics::FeatureVector fv;
+  if (row[0] > 0.0) {
+    fv.Set("dynamic.runs", row[1]);
+    fv.Set("dynamic.fault_rate", row[2]);
+    fv.Set("dynamic.abort_rate", row[3]);
+    fv.Set("dynamic.mean_steps", row[4]);
+    fv.Set("dynamic.branch_density", row[5]);
+    fv.Set("dynamic.sink_events_per_run", row[6]);
   }
   return fv;
 }
@@ -114,15 +171,6 @@ Testbed::Testbed(const corpus::EcosystemGenerator& ecosystem, TestbedOptions opt
     : ecosystem_(ecosystem),
       options_(options),
       fn_cache_(1 << 18, options.function_cache_max_bytes) {}
-
-bool Testbed::GranularActive() const {
-  // Any armed fault site disables the granular tier: the module-level path
-  // is the one whose injection semantics the robustness suite pins, and a
-  // faulted run must never serve rows cached by a clean run (or vice versa
-  // across attempt salts at sub-stage granularity).
-  return options_.cache_functions &&
-         support::FaultInjector::Global().Fingerprint() == 0;
-}
 
 // Retry-and-degrade wrapper around one deep-analysis stage. Failure modes
 // are normalised here: an Error result, an InjectedFault, a watchdog
@@ -229,402 +277,58 @@ uint64_t Testbed::OptionsFingerprint() const {
   return Fnv1a64(encoding);
 }
 
-// Per-file shallow battery with content-addressed reuse. Replicates
-// metrics::ExtractAppFeatures op-for-op: MergeSum in file order over vectors
-// that are bit-identical whether cached or freshly computed (FeatureVector
-// round-trips doubles exactly through the cache), then the same app-level
-// epilogue.
-metrics::FeatureVector Testbed::GranularAppFeatures(
-    const std::vector<metrics::SourceFile>& files) const {
-  metrics::FeatureVector app;
-  for (const auto& file : files) {
-    uint64_t key = Fnv1a64(file.path, kFileRowSalt);
-    key = MixU64(key, static_cast<uint64_t>(file.language));
-    key = Fnv1a64(file.text, key);
-    metrics::FeatureVector row;
-    if (file_cache_.Lookup(key, &row)) {
-      file_rows_reused_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      row = metrics::ExtractFileFeatures(file);
-      file_cache_.Insert(key, row);
-      file_rows_computed_.fetch_add(1, std::memory_order_relaxed);
-    }
-    app.MergeSum(row);
+// Lookup-or-compute of one payload unit: the only place the function
+// tiers are read, written, and counted. Exact by construction — every
+// payload is a pure function of its key's content and round-trips doubles
+// exactly — so a hit is bit-identical to a recomputation. A compute that
+// throws caches nothing.
+template <typename Value, typename Compute>
+bool Testbed::CachedUnit(ContentCache<Value>& cache, Tier tier,
+                         std::optional<uint64_t> key, Value* out, Compute&& compute) const {
+  if (key.has_value() && cache.Lookup(*key, out)) {
+    reused_[tier].fetch_add(1, std::memory_order_relaxed);
+    return true;
   }
-  app.Set("app.files", static_cast<double>(files.size()));
-  const double code = app.Get("loc.code");
-  const double comment = app.Get("loc.comment");
-  if (code > 0.0) {
-    app.Set("loc.comment_ratio", comment / code);
+  *out = compute();
+  computed_[tier].fetch_add(1, std::memory_order_relaxed);
+  if (key.has_value()) {
+    cache.Insert(*key, *out);
   }
-  return app;
-}
-
-// Per-function dataflow battery with payload reuse. The loop mirrors
-// dataflow::DataflowFeatures exactly — same tick weights, same accumulation
-// order, same epilogue — with each function's contribution either computed
-// (and cached under its body-token hash) or replayed from the cache.
-metrics::FeatureVector Testbed::GranularDataflow(const lang::IrModule& module,
-                                                 const FileFunctionIndex& index,
-                                                 support::Deadline* deadline) const {
-  const uint64_t options_fp = OptionsFingerprint();
-  std::map<std::string, uint64_t> hash_by_name;
-  for (const auto& fp : index.functions) {
-    hash_by_name[fp.name] = fp.token_hash;
-  }
-  metrics::FeatureVector fv;
-  double mean_reaching_sum = 0.0;
-  int max_live = 0;
-  int max_dom_depth = 0;
-  dataflow::TaintSummary total;
-  for (const auto& fn : module.functions) {
-    deadline->TickOrThrow("dataflow", fn.blocks.size() + 1);
-    uint64_t key = 0;
-    bool keyed = false;
-    if (const auto it = hash_by_name.find(fn.name); it != hash_by_name.end()) {
-      key = MixU64(MixU64(kDataflowRowSalt, it->second), options_fp);
-      keyed = true;
-    }
-    std::vector<double> row;
-    if (keyed && fn_cache_.Lookup(key, &row) && row.size() == 9) {
-      fn_dataflow_reused_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      const dataflow::CfgView cfg(fn);
-      const dataflow::ReachingDefinitions rd(fn, &cfg);
-      const dataflow::Liveness lv(fn, &cfg);
-      const dataflow::Dominators dom(fn, &cfg);
-      const dataflow::TaintSummary ts = dataflow::AnalyzeTaint(fn, &cfg);
-      row = {rd.MeanReachingPerUse(),
-             static_cast<double>(lv.MaxLiveAtEntry()),
-             static_cast<double>(dom.TreeDepth()),
-             static_cast<double>(ts.tainted_instructions),
-             static_cast<double>(ts.tainted_branches),
-             static_cast<double>(ts.tainted_array_indices),
-             static_cast<double>(ts.tainted_sinks),
-             static_cast<double>(ts.tainted_call_args),
-             static_cast<double>(ts.input_sites)};
-      fn_dataflow_computed_.fetch_add(1, std::memory_order_relaxed);
-      if (keyed) {
-        fn_cache_.Insert(key, row);
-      }
-    }
-    mean_reaching_sum += row[0];
-    max_live = std::max(max_live, static_cast<int>(row[1]));
-    max_dom_depth = std::max(max_dom_depth, static_cast<int>(row[2]));
-    total.tainted_instructions += static_cast<long long>(row[3]);
-    total.tainted_branches += static_cast<long long>(row[4]);
-    total.tainted_array_indices += static_cast<long long>(row[5]);
-    total.tainted_sinks += static_cast<long long>(row[6]);
-    total.tainted_call_args += static_cast<long long>(row[7]);
-    total.input_sites += static_cast<long long>(row[8]);
-  }
-  const double fn_count =
-      module.functions.empty() ? 1.0 : static_cast<double>(module.functions.size());
-  fv.Set("dataflow.mean_reaching_defs", mean_reaching_sum / fn_count);
-  fv.Set("dataflow.max_live_regs", static_cast<double>(max_live));
-  fv.Set("dataflow.max_dom_depth", static_cast<double>(max_dom_depth));
-  fv.Set("dataflow.tainted_instructions", static_cast<double>(total.tainted_instructions));
-  fv.Set("dataflow.tainted_branches", static_cast<double>(total.tainted_branches));
-  fv.Set("dataflow.tainted_array_indices",
-         static_cast<double>(total.tainted_array_indices));
-  fv.Set("dataflow.tainted_sinks", static_cast<double>(total.tainted_sinks));
-  fv.Set("dataflow.tainted_call_args", static_cast<double>(total.tainted_call_args));
-  fv.Set("dataflow.input_sites", static_cast<double>(total.input_sites));
-  return fv;
-}
-
-// Per-function interval analysis with payload reuse. The watchdog is the
-// subtle part: AnalyzeIntervals ticks `deadline` once per worklist visit, so
-// a cached function replays its recorded step delta (payload slot 6) before
-// folding — cumulative budget consumption, and therefore the logical point
-// where a tight budget expires, is identical warm and cold.
-metrics::FeatureVector Testbed::GranularIntervals(const lang::IrModule& module,
-                                                  const FileFunctionIndex& index,
-                                                  support::Deadline* deadline) const {
-  const uint64_t options_fp = OptionsFingerprint();
-  std::map<std::string, uint64_t> hash_by_name;
-  for (const auto& fp : index.functions) {
-    hash_by_name[fp.name] = fp.token_hash;
-  }
-  metrics::FeatureVector fv;
-  long long accesses = 0;
-  long long proven = 0;
-  long long divisions = 0;
-  long long proven_div = 0;
-  long long possible_oob = 0;
-  long long possible_div0 = 0;
-  for (const auto& fn : module.functions) {
-    uint64_t key = 0;
-    bool keyed = false;
-    if (const auto it = hash_by_name.find(fn.name); it != hash_by_name.end()) {
-      key = MixU64(MixU64(kIntervalsRowSalt, it->second), options_fp);
-      keyed = true;
-    }
-    std::vector<double> row;
-    if (keyed && fn_cache_.Lookup(key, &row) && row.size() == 7) {
-      deadline->TickOrThrow("intervals", static_cast<uint64_t>(row[6]));
-      fn_intervals_reused_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      const uint64_t before = deadline->steps_used();
-      dataflow::IntervalOptions interval_options;
-      interval_options.deadline = deadline;
-      const dataflow::IntervalReport report =
-          dataflow::AnalyzeIntervals(fn, interval_options);
-      long long fn_oob = 0;
-      long long fn_div0 = 0;
-      for (const auto& finding : report.findings) {
-        if (finding.kind == dataflow::AiFinding::Kind::kPossibleOutOfBounds) {
-          ++fn_oob;
-        } else {
-          ++fn_div0;
-        }
-      }
-      row = {static_cast<double>(report.array_accesses),
-             static_cast<double>(report.proven_in_bounds),
-             static_cast<double>(report.divisions),
-             static_cast<double>(report.proven_nonzero_divisor),
-             static_cast<double>(fn_oob),
-             static_cast<double>(fn_div0),
-             static_cast<double>(deadline->steps_used() - before)};
-      fn_intervals_computed_.fetch_add(1, std::memory_order_relaxed);
-      if (keyed) {
-        fn_cache_.Insert(key, row);
-      }
-    }
-    accesses += static_cast<long long>(row[0]);
-    proven += static_cast<long long>(row[1]);
-    divisions += static_cast<long long>(row[2]);
-    proven_div += static_cast<long long>(row[3]);
-    possible_oob += static_cast<long long>(row[4]);
-    possible_div0 += static_cast<long long>(row[5]);
-  }
-  fv.Set("ai.array_accesses", static_cast<double>(accesses));
-  fv.Set("ai.proven_in_bounds", static_cast<double>(proven));
-  fv.Set("ai.possible_oob", static_cast<double>(possible_oob));
-  fv.Set("ai.divisions", static_cast<double>(divisions));
-  fv.Set("ai.proven_nonzero_divisor", static_cast<double>(proven_div));
-  fv.Set("ai.possible_div0", static_cast<double>(possible_div0));
-  if (accesses > 0) {
-    fv.Set("ai.unproven_access_ratio",
-           static_cast<double>(possible_oob) / static_cast<double>(accesses));
-  }
-  return fv;
-}
-
-// Per-entry symbolic exploration with payload reuse. An entry's result is a
-// function of everything reachable from it, so the key is a digest of the
-// entry's call-graph closure (each reachable function's body-token hash),
-// the file preamble (global initializers), the entry's derived RNG seed, and
-// the options fingerprint. Misses fan out on the pool exactly like
-// symx::SymexFeatures; the fold runs in entry-index order either way.
-metrics::FeatureVector Testbed::GranularSymexec(const lang::IrModule& module,
-                                                const FileFunctionIndex& index,
-                                                int attempt) const {
-  metrics::FeatureVector fv;
-  std::vector<std::string> entries;
-  const metrics::CallGraph graph(module);
-  if (module.FindFunction("main") != nullptr) {
-    entries.push_back("main");
-  } else {
-    entries = graph.Roots();
-  }
-  const auto& sx = options_.symexec;
-  const size_t max_entries =
-      sx.max_entries > 0 ? static_cast<size_t>(sx.max_entries) : entries.size();
-  if (entries.size() > max_entries) {
-    entries.resize(max_entries);
-  }
-  symx::SymExecOptions base = sx;
-  base.watchdog_steps = options_.stage_step_budget;
-  base.fault_salt = static_cast<uint32_t>(attempt);
-
-  const uint64_t options_fp = OptionsFingerprint();
-  std::map<std::string, uint64_t> hash_by_name;
-  for (const auto& fp : index.functions) {
-    hash_by_name[fp.name] = fp.token_hash;
-  }
-  const auto closure_key = [&](const std::string& entry, size_t i) {
-    std::set<std::string> visited;
-    std::queue<std::string> frontier;
-    visited.insert(entry);
-    frontier.push(entry);
-    while (!frontier.empty()) {
-      const std::string name = frontier.front();
-      frontier.pop();
-      for (const auto& callee : graph.Callees(name)) {
-        if (visited.insert(callee).second) {
-          frontier.push(callee);
-        }
-      }
-    }
-    uint64_t key = MixU64(kSymexecRowSalt, options_fp);
-    key = MixU64(key, index.preamble_hash);
-    key = Fnv1a64(entry, key);
-    key = MixU64(key, support::Rng::TaskSeed(base.rng_seed, static_cast<uint64_t>(i)));
-    for (const auto& name : visited) {  // std::set: sorted, deterministic.
-      key = Fnv1a64(name, key);
-      const auto it = hash_by_name.find(name);
-      key = MixU64(key, it != hash_by_name.end() ? it->second : 0x9e3779b97f4a7c15ULL);
-    }
-    return key;
-  };
-
-  std::vector<uint64_t> keys(entries.size(), 0);
-  std::vector<std::vector<double>> rows(entries.size());
-  std::vector<size_t> missing;
-  for (size_t i = 0; i < entries.size(); ++i) {
-    keys[i] = closure_key(entries[i], i);
-    if (fn_cache_.Lookup(keys[i], &rows[i]) && rows[i].size() >= 8) {
-      symexec_entries_reused_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      rows[i].clear();
-      missing.push_back(i);
-    }
-  }
-  if (!missing.empty()) {
-    // Same fan-out as the module-level path; a watchdog throw propagates to
-    // GuardStage before anything is inserted, so a failed stage caches
-    // nothing (retries recompute, exactly like the module-level path).
-    const std::vector<symx::SymExecResult> computed =
-        support::ParallelMap<symx::SymExecResult>(missing.size(), [&](size_t m) {
-          const size_t i = missing[m];
-          symx::SymExecOptions entry_options = base;
-          entry_options.rng_seed =
-              support::Rng::TaskSeed(base.rng_seed, static_cast<uint64_t>(i));
-          return symx::Explore(module, entries[i], entry_options);
-        });
-    for (size_t m = 0; m < missing.size(); ++m) {
-      const size_t i = missing[m];
-      const symx::SymExecResult& result = computed[m];
-      std::vector<double> row = {static_cast<double>(result.paths_explored),
-                                 static_cast<double>(result.paths_completed),
-                                 static_cast<double>(result.solver_queries),
-                                 static_cast<double>(result.range_pruned),
-                                 static_cast<double>(result.sat_conflicts),
-                                 static_cast<double>(result.model_reuse_hits),
-                                 static_cast<double>(result.simplifier_folds),
-                                 static_cast<double>(result.vulns.size())};
-      for (const auto& vuln : result.vulns) {
-        row.push_back(static_cast<double>(static_cast<int>(vuln.kind)));
-        row.push_back(vuln.exploit_fraction);
-      }
-      fn_cache_.Insert(keys[i], row);
-      rows[i] = std::move(row);
-      symexec_entries_computed_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-
-  uint64_t paths = 0;
-  uint64_t completed = 0;
-  uint64_t vuln_sites = 0;
-  uint64_t oob_sites = 0;
-  uint64_t div_sites = 0;
-  uint64_t queries = 0;
-  uint64_t pruned = 0;
-  uint64_t conflicts = 0;
-  uint64_t reuse_hits = 0;
-  uint64_t folds = 0;
-  double max_fraction = 0.0;
-  double sum_fraction = 0.0;
-  for (const auto& row : rows) {
-    paths += static_cast<uint64_t>(row[0]);
-    completed += static_cast<uint64_t>(row[1]);
-    queries += static_cast<uint64_t>(row[2]);
-    pruned += static_cast<uint64_t>(row[3]);
-    conflicts += static_cast<uint64_t>(row[4]);
-    reuse_hits += static_cast<uint64_t>(row[5]);
-    folds += static_cast<uint64_t>(row[6]);
-    const size_t nvulns = static_cast<size_t>(row[7]);
-    vuln_sites += nvulns;
-    for (size_t v = 0; v < nvulns; ++v) {
-      const double kind = row[8 + 2 * v];
-      const double fraction = row[9 + 2 * v];
-      if (static_cast<int>(kind) == static_cast<int>(symx::VulnKind::kOutOfBounds)) {
-        ++oob_sites;
-      } else {
-        ++div_sites;
-      }
-      max_fraction = std::max(max_fraction, fraction);
-      sum_fraction += fraction;
-    }
-  }
-  fv.Set("symx.entries", static_cast<double>(entries.size()));
-  fv.Set("symx.paths", static_cast<double>(paths));
-  fv.Set("symx.paths_completed", static_cast<double>(completed));
-  fv.Set("symx.vuln_sites", static_cast<double>(vuln_sites));
-  fv.Set("symx.oob_sites", static_cast<double>(oob_sites));
-  fv.Set("symx.divzero_sites", static_cast<double>(div_sites));
-  fv.Set("symx.solver_queries", static_cast<double>(queries));
-  fv.Set("symx.range_pruned", static_cast<double>(pruned));
-  fv.Set("symx.range_prune_rate",
-         static_cast<double>(pruned) /
-             static_cast<double>(std::max<uint64_t>(1, pruned + queries)));
-  fv.Set("symx.sat_conflicts", static_cast<double>(conflicts));
-  fv.Set("symx.model_reuse_hits", static_cast<double>(reuse_hits));
-  fv.Set("symx.simplifier_folds", static_cast<double>(folds));
-  fv.Set("symx.max_exploit_fraction", max_fraction);
-  fv.Set("symx.sum_exploit_fraction", sum_fraction);
-  return fv;
-}
-
-// Whole-file dynamic battery with payload reuse: the trace stream depends on
-// every function the roots reach, so the unit of caching is the file's full
-// token hash. Cached entries replay their recorded deadline consumption so
-// warm and cold runs expire a tight budget at the same point.
-metrics::FeatureVector Testbed::GranularDynamic(const lang::IrModule& module,
-                                                const FileFunctionIndex& index,
-                                                uint64_t seed,
-                                                support::Deadline* deadline) const {
-  uint64_t key = MixU64(kDynamicRowSalt, OptionsFingerprint());
-  key = MixU64(key, index.file_token_hash);
-  key = MixU64(key, seed);
-  std::vector<double> row;
-  if (fn_cache_.Lookup(key, &row) && row.size() == 8) {
-    deadline->TickOrThrow("dynamic", static_cast<uint64_t>(row[7]));
-    dynamic_files_reused_.fetch_add(1, std::memory_order_relaxed);
-    metrics::FeatureVector fv;
-    if (row[0] > 0.0) {
-      fv.Set("dynamic.runs", row[1]);
-      fv.Set("dynamic.fault_rate", row[2]);
-      fv.Set("dynamic.abort_rate", row[3]);
-      fv.Set("dynamic.mean_steps", row[4]);
-      fv.Set("dynamic.branch_density", row[5]);
-      fv.Set("dynamic.sink_events_per_run", row[6]);
-    }
-    return fv;
-  }
-  const uint64_t before = deadline->steps_used();
-  const metrics::FeatureVector fv =
-      DynamicFeatures(module, options_.dynamic_trials, seed, deadline);
-  row = {fv.Has("dynamic.runs") ? 1.0 : 0.0,
-         fv.Get("dynamic.runs"),
-         fv.Get("dynamic.fault_rate"),
-         fv.Get("dynamic.abort_rate"),
-         fv.Get("dynamic.mean_steps"),
-         fv.Get("dynamic.branch_density"),
-         fv.Get("dynamic.sink_events_per_run"),
-         static_cast<double>(deadline->steps_used() - before)};
-  fn_cache_.Insert(key, row);
-  dynamic_files_computed_.fetch_add(1, std::memory_order_relaxed);
-  return fv;
+  return false;
 }
 
 metrics::FeatureVector Testbed::ExtractFeatures(
     const std::vector<metrics::SourceFile>& files) const {
+  // Cache admission: the function-granular tiers (AST artifacts, file rows,
+  // payloads) are read and written only when enabled and no fault site is
+  // armed, so injected verdicts always run against freshly computed units
+  // and a faulted run never stores or serves a cached one. Nothing else
+  // differs: both ways walk the same stages and folds.
+  const bool admitted =
+      options_.cache_functions && support::FaultInjector::Global().Fingerprint() == 0;
+  const uint64_t options_fp =
+      options_.cache_features || admitted ? OptionsFingerprint() : 0;
   uint64_t cache_key = 0;
   if (options_.cache_features) {
-    cache_key = HashSourceFiles(files, OptionsFingerprint());
+    cache_key = HashSourceFiles(files, options_fp);
     metrics::FeatureVector cached;
     if (cache_.Lookup(cache_key, &cached)) {
       return cached;
     }
   }
-  // Granular path (clean runs with cache_functions on): the shallow battery
-  // and every deep stage reuse content-addressed sub-results, and are
-  // bit-identical to the module-level path below.
-  const bool granular = GranularActive();
-  metrics::FeatureVector features =
-      granular ? GranularAppFeatures(files) : metrics::ExtractAppFeatures(files);
+  metrics::FileRowFn file_row;
+  if (admitted) {
+    file_row = [&](const metrics::SourceFile& file) {
+      uint64_t key = Fnv1a64(file.path, kFileRowSalt);
+      key = MixU64(key, static_cast<uint64_t>(file.language));
+      key = Fnv1a64(file.text, key);
+      metrics::FeatureVector row;
+      CachedUnit(file_cache_, kFileRows, key, &row,
+                 [&] { return metrics::ExtractFileFeatures(file); });
+      return row;
+    };
+  }
+  metrics::FeatureVector features = metrics::ExtractAppFeatures(files, file_row);
   if (!options_.with_dataflow && !options_.with_symexec && !options_.with_dynamic) {
     if (options_.cache_features) {
       cache_.Insert(cache_key, features);
@@ -665,22 +369,24 @@ metrics::FeatureVector Testbed::ExtractFeatures(
     if (!options_.with_dynamic) {
       tracker.Disable(StageKind::kDynamic);
     }
-    // Parse artifacts are immutable and shared: the granular path serves
-    // them from the AST cache (a warm re-score of an unchanged file never
-    // re-parses); the module-level path builds them fresh per file.
+    // Parse artifacts are immutable and shared: an admitted extraction
+    // serves them from the AST cache (a warm re-score of an unchanged file
+    // never re-parses), and keys the file's payload units by its token index.
     std::shared_ptr<const lang::TranslationUnit> unit;
     std::shared_ptr<const lang::IrModule> module;
     std::shared_ptr<const ParsedFile> parsed;
+    std::optional<UnitKeys> keys;
     for (StageKind stage = tracker.NextRunnable(); stage != StageKind::kCount;
          stage = tracker.NextRunnable()) {
       tracker.MarkRunning(stage);
+      std::optional<metrics::FeatureVector> analysis;
       bool ok = false;
       switch (stage) {
         case StageKind::kParse: {
           auto res = GuardStage<std::shared_ptr<const lang::TranslationUnit>>(
               stage, features,
               [&](int) -> support::Result<std::shared_ptr<const lang::TranslationUnit>> {
-                if (granular) {
+                if (admitted) {
                   parsed = ast_cache_.Get(file);
                   if (parsed->unit != nullptr) {
                     return parsed->unit;
@@ -707,7 +413,7 @@ metrics::FeatureVector Testbed::ExtractFeatures(
           auto res = GuardStage<std::shared_ptr<const lang::IrModule>>(
               stage, features,
               [&](int) -> support::Result<std::shared_ptr<const lang::IrModule>> {
-                if (granular) {
+                if (admitted) {
                   if (parsed->module != nullptr) {
                     return parsed->module;
                   }
@@ -723,51 +429,59 @@ metrics::FeatureVector Testbed::ExtractFeatures(
               });
           if (res.has_value()) {
             module = std::move(*res);
+            if (admitted) {
+              keys.emplace(parsed->index, options_fp);
+            }
           }
           ok = module != nullptr;
           break;
         }
-        case StageKind::kDataflow: {
-          auto df = GuardStage<metrics::FeatureVector>(
-              stage, features,
-              [&](int) -> support::Result<metrics::FeatureVector> {
+        case StageKind::kDataflow:
+          analysis = GuardStage<metrics::FeatureVector>(
+              stage, features, [&](int) -> support::Result<metrics::FeatureVector> {
                 support::Deadline deadline = StageDeadline();
-                if (granular) {
-                  return GranularDataflow(*module, parsed->index, &deadline);
+                dataflow::FunctionPayloadFn payload;
+                if (keys.has_value()) {
+                  payload = [&](const lang::IrFunction& fn) {
+                    std::vector<double> row;
+                    CachedUnit(fn_cache_, kDataflowFns, keys->Function(kDataflowRowSalt, fn.name),
+                               &row, [&] { return dataflow::DataflowPayload(fn); });
+                    return row;
+                  };
                 }
-                return dataflow::DataflowFeatures(*module, &deadline);
+                return dataflow::DataflowFeatures(*module, &deadline,
+                                                  dataflow::DefaultDataflowMode(), payload);
               });
-          if (df.has_value()) {
-            features.MergeSum(*df);
-            ok = true;
-          }
           break;
-        }
-        case StageKind::kIntervals: {
-          auto iv = GuardStage<metrics::FeatureVector>(
-              stage, features,
-              [&](int) -> support::Result<metrics::FeatureVector> {
+        case StageKind::kIntervals:
+          analysis = GuardStage<metrics::FeatureVector>(
+              stage, features, [&](int) -> support::Result<metrics::FeatureVector> {
                 support::Deadline deadline = StageDeadline();
-                if (granular) {
-                  return GranularIntervals(*module, parsed->index, &deadline);
-                }
                 dataflow::IntervalOptions interval_options;
                 interval_options.deadline = &deadline;
-                return dataflow::IntervalFeatures(*module, interval_options);
-              });
-          if (iv.has_value()) {
-            features.MergeSum(*iv);
-            ok = true;
-          }
-          break;
-        }
-        case StageKind::kSymexec: {
-          auto sx = GuardStage<metrics::FeatureVector>(
-              stage, features,
-              [&](int attempt) -> support::Result<metrics::FeatureVector> {
-                if (granular) {
-                  return GranularSymexec(*module, parsed->index, attempt);
+                dataflow::FunctionPayloadFn payload;
+                if (keys.has_value()) {
+                  payload = [&](const lang::IrFunction& fn) {
+                    const auto compute = [&] {
+                      return dataflow::IntervalPayload(fn, interval_options);
+                    };
+                    std::vector<double> row;
+                    // A hit replays the payload's recorded step delta, so
+                    // warm and cold runs expire a tight budget at the same
+                    // logical point.
+                    if (CachedUnit(fn_cache_, kIntervalFns,
+                                   keys->Function(kIntervalsRowSalt, fn.name), &row, compute)) {
+                      deadline.TickOrThrow("intervals", static_cast<uint64_t>(row.back()));
+                    }
+                    return row;
+                  };
                 }
+                return dataflow::IntervalFeatures(*module, interval_options, payload);
+              });
+          break;
+        case StageKind::kSymexec:
+          analysis = GuardStage<metrics::FeatureVector>(
+              stage, features, [&](int attempt) -> support::Result<metrics::FeatureVector> {
                 // Symexec fans its entries out to pool workers, which do not
                 // inherit this thread's ScopedAttempt salt — the retry
                 // attempt rides in the options instead (see
@@ -775,40 +489,51 @@ metrics::FeatureVector Testbed::ExtractFeatures(
                 symx::SymExecOptions symexec_options = options_.symexec;
                 symexec_options.watchdog_steps = options_.stage_step_budget;
                 symexec_options.fault_salt = static_cast<uint32_t>(attempt);
-                return symx::SymexFeatures(*module, symexec_options);
+                symx::EntryPayloadFn entry_payload;
+                if (keys.has_value()) {
+                  entry_payload = [&, call_graph = metrics::CallGraph(*module)](
+                                      const std::string& entry,
+                                      const symx::SymExecOptions& entry_options) {
+                    std::vector<double> row;
+                    CachedUnit(fn_cache_, kSymexecEntries,
+                               keys->Closure(call_graph, entry, entry_options.rng_seed), &row,
+                               [&] { return symx::ExplorePayload(*module, entry, entry_options); });
+                    return row;
+                  };
+                }
+                return symx::SymexFeatures(*module, symexec_options, entry_payload);
               });
-          if (sx.has_value()) {
-            features.MergeSum(*sx);
-            ok = true;
-          }
           break;
-        }
-        case StageKind::kDynamic: {
-          auto dyn = GuardStage<metrics::FeatureVector>(
-              stage, features,
-              [&](int) -> support::Result<metrics::FeatureVector> {
+        case StageKind::kDynamic:
+          analysis = GuardStage<metrics::FeatureVector>(
+              stage, features, [&](int) -> support::Result<metrics::FeatureVector> {
                 support::Deadline deadline = StageDeadline();
                 // Seeded by attempt index, so a file's dynamic stream is a
                 // function of its position among deep candidates, not of
                 // earlier parse outcomes.
                 const uint64_t seed = support::Rng::TaskSeed(
                     options_.dynamic_seed, static_cast<uint64_t>(attempt_index));
-                if (granular) {
-                  return GranularDynamic(*module, parsed->index, seed, &deadline);
+                const auto compute = [&] {
+                  return DynamicPayload(*module, options_.dynamic_trials, seed, deadline);
+                };
+                if (!keys.has_value()) {
+                  return DynamicFeatures(compute());
                 }
-                return DynamicFeatures(*module, options_.dynamic_trials, seed,
-                                       &deadline);
+                std::vector<double> row;
+                if (CachedUnit(fn_cache_, kDynamicFiles, keys->Dynamic(seed), &row, compute)) {
+                  deadline.TickOrThrow("dynamic", static_cast<uint64_t>(row.back()));
+                }
+                return DynamicFeatures(row);
               });
-          if (dyn.has_value()) {
-            features.MergeSum(*dyn);
-            ok = true;
-          }
           break;
-        }
         case StageKind::kFeatures:
         case StageKind::kPredict:
         case StageKind::kCount:
           break;  // Disabled above; unreachable.
+      }
+      if (analysis.has_value()) {
+        features.MergeSum(*analysis);
+        ok = true;
       }
       if (ok) {
         tracker.MarkDone(stage);
@@ -988,20 +713,21 @@ AppRecord Testbed::ExtractRecordFromFiles(
 }
 
 IncrementalStats Testbed::incremental_stats() const {
+  const auto computed = [&](Tier tier) { return computed_[tier].load(std::memory_order_relaxed); };
+  const auto reused = [&](Tier tier) { return reused_[tier].load(std::memory_order_relaxed); };
   IncrementalStats s;
   s.files_parsed = ast_cache_.misses();
   s.parse_reused = ast_cache_.hits();
-  s.file_rows_computed = file_rows_computed_.load(std::memory_order_relaxed);
-  s.file_rows_reused = file_rows_reused_.load(std::memory_order_relaxed);
-  s.fn_dataflow_computed = fn_dataflow_computed_.load(std::memory_order_relaxed);
-  s.fn_dataflow_reused = fn_dataflow_reused_.load(std::memory_order_relaxed);
-  s.fn_intervals_computed = fn_intervals_computed_.load(std::memory_order_relaxed);
-  s.fn_intervals_reused = fn_intervals_reused_.load(std::memory_order_relaxed);
-  s.symexec_entries_computed =
-      symexec_entries_computed_.load(std::memory_order_relaxed);
-  s.symexec_entries_reused = symexec_entries_reused_.load(std::memory_order_relaxed);
-  s.dynamic_files_computed = dynamic_files_computed_.load(std::memory_order_relaxed);
-  s.dynamic_files_reused = dynamic_files_reused_.load(std::memory_order_relaxed);
+  s.file_rows_computed = computed(kFileRows);
+  s.file_rows_reused = reused(kFileRows);
+  s.fn_dataflow_computed = computed(kDataflowFns);
+  s.fn_dataflow_reused = reused(kDataflowFns);
+  s.fn_intervals_computed = computed(kIntervalFns);
+  s.fn_intervals_reused = reused(kIntervalFns);
+  s.symexec_entries_computed = computed(kSymexecEntries);
+  s.symexec_entries_reused = reused(kSymexecEntries);
+  s.dynamic_files_computed = computed(kDynamicFiles);
+  s.dynamic_files_reused = reused(kDynamicFiles);
   return s;
 }
 

@@ -54,12 +54,14 @@ struct TestbedOptions {
   bool cache_features = true;
   // Function-granular incremental extraction (see incremental.h): parse
   // artifacts, per-file metric vectors, per-function dataflow/interval
-  // payloads, and per-entry symexec results are content-addressed by
-  // normalized token hashes, so a warm re-score after an edit re-runs deep
-  // analyses only for the changed functions. Output is bit-identical to the
-  // module-level path (tests/incremental_test pins this); when any fault
-  // site is armed the testbed automatically falls back to the module-level
-  // path, so fault semantics and faulted-run byte-identity are untouched.
+  // payloads, per-entry symexec results, and per-file dynamic batteries are
+  // content-addressed by normalized token hashes, so a warm re-score after
+  // an edit re-runs deep analyses only for the changed functions. Every
+  // analysis folds the same per-unit payloads whether they come from the
+  // cache or are computed fresh, so output is bit-identical either way
+  // (tests/incremental_test pins this). The caches are admitted only while
+  // no fault site is armed: injected verdicts always run against fresh
+  // units.
   bool cache_functions = true;
   // Byte cap for the function-granular row cache (0 = unbounded); oldest
   // entries evict first, surfaced as cache_evictions in RunReport.
@@ -233,34 +235,28 @@ class Testbed {
   // cache key so differently-configured testbeds never share rows.
   uint64_t OptionsFingerprint() const;
 
-  // True when the function-granular path is in effect: enabled by options
-  // and no fault site is armed (fault runs use the module-level path
-  // verbatim, preserving injection semantics).
-  bool GranularActive() const;
-
   // One app row from already-materialized sources (Collect's resume path
   // re-extracts through this after a digest mismatch).
   AppRecord ExtractRecordFromFiles(
       const corpus::AppSpec& spec,
       const std::vector<metrics::SourceFile>& files) const;
 
-  // Granular-path stage bodies; each replicates the module-level fold
-  // op-for-op and is bit-identical to it (tests/incremental_test).
-  metrics::FeatureVector GranularAppFeatures(
-      const std::vector<metrics::SourceFile>& files) const;
-  metrics::FeatureVector GranularDataflow(const lang::IrModule& module,
-                                          const FileFunctionIndex& index,
-                                          support::Deadline* deadline) const;
-  metrics::FeatureVector GranularIntervals(const lang::IrModule& module,
-                                           const FileFunctionIndex& index,
-                                           support::Deadline* deadline) const;
-  metrics::FeatureVector GranularSymexec(const lang::IrModule& module,
-                                         const FileFunctionIndex& index,
-                                         int attempt) const;
-  metrics::FeatureVector GranularDynamic(const lang::IrModule& module,
-                                         const FileFunctionIndex& index,
-                                         uint64_t seed,
-                                         support::Deadline* deadline) const;
+  // IncrementalStats counter slots of the function-granular tiers.
+  enum Tier : int {
+    kFileRows,
+    kDataflowFns,
+    kIntervalFns,
+    kSymexecEntries,
+    kDynamicFiles,
+    kTierCount
+  };
+
+  // Serves one unit's payload from `cache` or computes (and caches) it, and
+  // counts which. `key` is empty for a unit without a content address
+  // (computed, never cached). Returns true on a hit.
+  template <typename Value, typename Compute>
+  bool CachedUnit(ContentCache<Value>& cache, Tier tier, std::optional<uint64_t> key,
+                  Value* out, Compute&& compute) const;
 
   const corpus::EcosystemGenerator& ecosystem_;
   TestbedOptions options_;
@@ -278,17 +274,9 @@ class Testbed {
   mutable std::atomic<uint64_t> checkpoint_appends_{0};
   mutable std::atomic<uint64_t> checkpoint_dropped_{0};
   mutable std::atomic<uint64_t> checkpoint_stale_{0};
-  // IncrementalStats counters.
-  mutable std::atomic<uint64_t> file_rows_computed_{0};
-  mutable std::atomic<uint64_t> file_rows_reused_{0};
-  mutable std::atomic<uint64_t> fn_dataflow_computed_{0};
-  mutable std::atomic<uint64_t> fn_dataflow_reused_{0};
-  mutable std::atomic<uint64_t> fn_intervals_computed_{0};
-  mutable std::atomic<uint64_t> fn_intervals_reused_{0};
-  mutable std::atomic<uint64_t> symexec_entries_computed_{0};
-  mutable std::atomic<uint64_t> symexec_entries_reused_{0};
-  mutable std::atomic<uint64_t> dynamic_files_computed_{0};
-  mutable std::atomic<uint64_t> dynamic_files_reused_{0};
+  // IncrementalStats computed / reused counters, indexed by Tier.
+  mutable std::array<std::atomic<uint64_t>, kTierCount> computed_{};
+  mutable std::array<std::atomic<uint64_t>, kTierCount> reused_{};
 };
 
 }  // namespace clair

@@ -125,15 +125,24 @@ struct TaintSummary {
 TaintSummary AnalyzeTaint(const lang::IrFunction& fn, const CfgView* cfg = nullptr,
                           DataflowMode mode = DefaultDataflowMode());
 
+// One function's dataflow payload, the unit the module fold sums:
+// {mean reaching defs per use, max live registers at entry, dominator tree
+// depth, then the six TaintSummary counts in declaration order}.
+std::vector<double> DataflowPayload(const lang::IrFunction& fn,
+                                    DataflowMode mode = DefaultDataflowMode());
+
 // Aggregates all dataflow-derived features for a module into the shared
-// FeatureVector namespace "dataflow.*". `deadline`, when given, is ticked
-// once per analyzed block so the caller's watchdog can bound runaway
-// modules; expiry throws support::DeadlineExceeded. The tick accounting is
-// mode-independent, so a step budget trips at the same logical point in
-// either mode and feature rows stay byte-identical.
+// FeatureVector namespace "dataflow.*": the fold over every function's
+// payload, taken from `payload` when given (else computed in `mode`).
+// `deadline`, when given, is ticked once per function (weighted by its
+// blocks) before its payload is taken, so the caller's watchdog can bound
+// runaway modules; expiry throws support::DeadlineExceeded. The tick
+// accounting is mode- and source-independent, so a step budget trips at the
+// same logical point either way and feature rows stay byte-identical.
 metrics::FeatureVector DataflowFeatures(const lang::IrModule& module,
                                         support::Deadline* deadline = nullptr,
-                                        DataflowMode mode = DefaultDataflowMode());
+                                        DataflowMode mode = DefaultDataflowMode(),
+                                        const FunctionPayloadFn& payload = nullptr);
 
 }  // namespace dataflow
 

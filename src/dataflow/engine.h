@@ -41,6 +41,12 @@ enum class DataflowMode {
 // ("reference" selects the oracle; anything else selects the engine).
 DataflowMode DefaultDataflowMode();
 
+// Source of one function's payload row in a module-level fold
+// (DataflowFeatures, IntervalFeatures): the family's per-function
+// computation itself, or a cache in front of it that returns exactly the
+// same row.
+using FunctionPayloadFn = std::function<std::vector<double>(const lang::IrFunction&)>;
+
 // CFG facts computed once per function and shared across all analyses.
 struct CfgView {
   explicit CfgView(const lang::IrFunction& fn);

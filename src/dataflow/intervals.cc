@@ -1126,11 +1126,34 @@ IntervalReport AnalyzeIntervals(const lang::IrFunction& fn, const IntervalOption
   return IntervalAnalyzer<CiDomain>(fn, options, cfg).Run();
 }
 
+std::vector<double> IntervalPayload(const lang::IrFunction& fn,
+                                    const IntervalOptions& options) {
+  const uint64_t before = options.deadline != nullptr ? options.deadline->steps_used() : 0;
+  const IntervalReport report = AnalyzeIntervals(fn, options);  // CfgView built per mode inside.
+  double possible_oob = 0.0;
+  double possible_div0 = 0.0;
+  for (const auto& finding : report.findings) {
+    if (finding.kind == AiFinding::Kind::kPossibleOutOfBounds) {
+      ++possible_oob;
+    } else {
+      ++possible_div0;
+    }
+  }
+  const uint64_t after = options.deadline != nullptr ? options.deadline->steps_used() : 0;
+  return {static_cast<double>(report.array_accesses),
+          static_cast<double>(report.proven_in_bounds),
+          static_cast<double>(report.divisions),
+          static_cast<double>(report.proven_nonzero_divisor),
+          possible_oob,
+          possible_div0,
+          static_cast<double>(after - before)};
+}
+
 metrics::FeatureVector IntervalFeatures(const lang::IrModule& module,
-                                        const IntervalOptions& options) {
+                                        const IntervalOptions& options,
+                                        const FunctionPayloadFn& payload) {
   support::FaultInjector::Global().MaybeFail(support::FaultSite::kIntervals,
                                              lang::ModuleFingerprint(module));
-  metrics::FeatureVector fv;
   long long accesses = 0;
   long long proven = 0;
   long long divisions = 0;
@@ -1138,19 +1161,15 @@ metrics::FeatureVector IntervalFeatures(const lang::IrModule& module,
   long long possible_oob = 0;
   long long possible_div0 = 0;
   for (const auto& fn : module.functions) {
-    const IntervalReport report = AnalyzeIntervals(fn, options);  // CfgView built per mode inside.
-    accesses += report.array_accesses;
-    proven += report.proven_in_bounds;
-    divisions += report.divisions;
-    proven_div += report.proven_nonzero_divisor;
-    for (const auto& finding : report.findings) {
-      if (finding.kind == AiFinding::Kind::kPossibleOutOfBounds) {
-        ++possible_oob;
-      } else {
-        ++possible_div0;
-      }
-    }
+    const std::vector<double> row = payload ? payload(fn) : IntervalPayload(fn, options);
+    accesses += static_cast<long long>(row[0]);
+    proven += static_cast<long long>(row[1]);
+    divisions += static_cast<long long>(row[2]);
+    proven_div += static_cast<long long>(row[3]);
+    possible_oob += static_cast<long long>(row[4]);
+    possible_div0 += static_cast<long long>(row[5]);
   }
+  metrics::FeatureVector fv;
   fv.Set("ai.array_accesses", static_cast<double>(accesses));
   fv.Set("ai.proven_in_bounds", static_cast<double>(proven));
   fv.Set("ai.possible_oob", static_cast<double>(possible_oob));

@@ -137,9 +137,20 @@ IntervalReport AnalyzeIntervals(const lang::IrFunction& fn,
                                 const IntervalOptions& options = {},
                                 const CfgView* cfg = nullptr);
 
-// Whole-module aggregation into "ai.*" features.
+// One function's interval payload, the unit the module fold sums:
+// {array accesses, proven in bounds, divisions, proven nonzero divisors,
+// possible out-of-bounds findings, possible div-by-zero findings, steps the
+// analysis ticked on options.deadline}. The step count lets a cached payload
+// replay its watchdog consumption.
+std::vector<double> IntervalPayload(const lang::IrFunction& fn,
+                                    const IntervalOptions& options = {});
+
+// Whole-module aggregation into "ai.*" features: the fold over every
+// function's payload, taken from `payload` when given (else computed with
+// `options`).
 metrics::FeatureVector IntervalFeatures(const lang::IrModule& module,
-                                        const IntervalOptions& options = {});
+                                        const IntervalOptions& options = {},
+                                        const FunctionPayloadFn& payload = nullptr);
 
 }  // namespace dataflow
 

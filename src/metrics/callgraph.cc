@@ -126,9 +126,15 @@ std::vector<std::string> CallGraph::Roots() const {
   return roots;
 }
 
-const std::set<std::string>& CallGraph::Callees(const std::string& fn) const {
-  const auto it = callees_.find(fn);
-  return it == callees_.end() ? empty_ : it->second;
+std::vector<std::string> EntryFunctions(const lang::IrModule& module, size_t max_roots) {
+  if (module.FindFunction("main") != nullptr) {
+    return {"main"};
+  }
+  std::vector<std::string> entries = CallGraph(module).Roots();
+  if (entries.size() > max_roots) {
+    entries.resize(max_roots);
+  }
+  return entries;
 }
 
 }  // namespace metrics

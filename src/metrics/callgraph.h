@@ -33,16 +33,18 @@ class CallGraph {
   // Names of functions never called by any other function (roots / exports).
   std::vector<std::string> Roots() const;
 
-  const std::set<std::string>& Callees(const std::string& fn) const;
-
  private:
   std::map<std::string, std::set<std::string>> callees_;
   std::map<std::string, std::set<std::string>> callers_;
   std::map<std::string, int> call_sites_;
   std::set<std::string> recursive_;
   std::set<std::string> defined_;
-  std::set<std::string> empty_;
 };
+
+// Entry points of a module for whole-program analyses (symbolic execution,
+// dynamic traces): main when present, else the first `max_roots` call-graph
+// roots in name order.
+std::vector<std::string> EntryFunctions(const lang::IrModule& module, size_t max_roots);
 
 }  // namespace metrics
 

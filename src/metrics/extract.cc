@@ -356,10 +356,11 @@ FeatureVector ExtractFileFeatures(const SourceFile& file) {
   return fv;
 }
 
-FeatureVector ExtractAppFeatures(const std::vector<SourceFile>& files) {
+FeatureVector ExtractAppFeatures(const std::vector<SourceFile>& files,
+                                 const FileRowFn& file_row) {
   FeatureVector app;
   for (const auto& file : files) {
-    app.MergeSum(ExtractFileFeatures(file));
+    app.MergeSum(file_row ? file_row(file) : ExtractFileFeatures(file));
   }
   app.Set("app.files", static_cast<double>(files.size()));
   const double code = app.Get("loc.code");

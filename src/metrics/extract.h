@@ -9,6 +9,7 @@
 #ifndef SRC_METRICS_EXTRACT_H_
 #define SRC_METRICS_EXTRACT_H_
 
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -31,10 +32,17 @@ struct SourceFile {
 // degrades to text-level features plus "parse.failed"=1.
 FeatureVector ExtractFileFeatures(const SourceFile& file);
 
+// Source of one file's row: ExtractFileFeatures itself, or a cache in front
+// of it (the testbed's function-granular tier).
+using FileRowFn = std::function<FeatureVector(const SourceFile&)>;
+
 // Extracts and aggregates features across an application's files, adding
 // app-level features (file count, language mix, call-graph shape, mean and
-// max per-function complexity).
-FeatureVector ExtractAppFeatures(const std::vector<SourceFile>& files);
+// max per-function complexity): the file-order sum of each file's row, plus
+// the app epilogue. `file_row` (default: ExtractFileFeatures) supplies the
+// rows; it must return exactly what ExtractFileFeatures would.
+FeatureVector ExtractAppFeatures(const std::vector<SourceFile>& files,
+                                 const FileRowFn& file_row = nullptr);
 
 // The Shin et al. per-function features the paper cites in §4 (LoC, number
 // of functions, declarations, branches, preprocessed lines, in/out args);

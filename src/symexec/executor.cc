@@ -1018,21 +1018,42 @@ uint64_t SolverSessionReuseCount() {
   return g_solver_session_reuses.load(std::memory_order_relaxed);
 }
 
+std::vector<double> ExplorePayload(const lang::IrModule& module, const std::string& entry,
+                                   const SymExecOptions& options) {
+  const SymExecResult result = Explore(module, entry, options);
+  std::vector<double> row = {static_cast<double>(result.paths_explored),
+                             static_cast<double>(result.paths_completed),
+                             static_cast<double>(result.solver_queries),
+                             static_cast<double>(result.range_pruned),
+                             static_cast<double>(result.sat_conflicts),
+                             static_cast<double>(result.model_reuse_hits),
+                             static_cast<double>(result.simplifier_folds),
+                             static_cast<double>(result.vulns.size())};
+  for (const auto& vuln : result.vulns) {
+    row.push_back(static_cast<double>(static_cast<int>(vuln.kind)));
+    row.push_back(vuln.exploit_fraction);
+  }
+  return row;
+}
+
 metrics::FeatureVector SymexFeatures(const lang::IrModule& module,
-                                     const SymExecOptions& options) {
-  metrics::FeatureVector fv;
-  std::vector<std::string> entries;
-  if (module.FindFunction("main") != nullptr) {
-    entries.push_back("main");
-  } else {
-    const metrics::CallGraph graph(module);
-    entries = graph.Roots();
-  }
-  const size_t max_entries =
-      options.max_entries > 0 ? static_cast<size_t>(options.max_entries) : entries.size();
-  if (entries.size() > max_entries) {
-    entries.resize(max_entries);
-  }
+                                     const SymExecOptions& options,
+                                     const EntryPayloadFn& payload) {
+  const std::vector<std::string> entries = metrics::EntryFunctions(
+      module, options.max_entries > 0 ? static_cast<size_t>(options.max_entries) : SIZE_MAX);
+  // Entry explorations are independent (each builds its own pool, solver,
+  // and RNG), so they fan out on the global pool. Per-entry Rng::TaskSeed
+  // streams keep every entry's sampling independent of sibling count and
+  // scheduling; the fold below runs in index order, so the features are
+  // bit-identical at any CLAIR_THREADS value.
+  const std::vector<std::vector<double>> rows = support::ParallelMap<std::vector<double>>(
+      entries.size(), [&](size_t i) {
+        SymExecOptions entry_options = options;
+        entry_options.rng_seed =
+            support::Rng::TaskSeed(options.rng_seed, static_cast<uint64_t>(i));
+        return payload ? payload(entries[i], entry_options)
+                       : ExplorePayload(module, entries[i], entry_options);
+      });
   uint64_t paths = 0;
   uint64_t completed = 0;
   uint64_t vuln_sites = 0;
@@ -1045,37 +1066,28 @@ metrics::FeatureVector SymexFeatures(const lang::IrModule& module,
   uint64_t folds = 0;
   double max_fraction = 0.0;
   double sum_fraction = 0.0;
-  // Entry explorations are independent (each builds its own pool, solver,
-  // and RNG), so they fan out on the global pool. Per-entry Rng::TaskSeed
-  // streams keep every entry's sampling independent of sibling count and
-  // scheduling; aggregation below runs in index order, so the features are
-  // bit-identical at any CLAIR_THREADS value.
-  const std::vector<SymExecResult> results = support::ParallelMap<SymExecResult>(
-      entries.size(), [&](size_t i) {
-        SymExecOptions entry_options = options;
-        entry_options.rng_seed =
-            support::Rng::TaskSeed(options.rng_seed, static_cast<uint64_t>(i));
-        return Explore(module, entries[i], entry_options);
-      });
-  for (const SymExecResult& result : results) {
-    paths += result.paths_explored;
-    completed += result.paths_completed;
-    vuln_sites += result.vulns.size();
-    queries += result.solver_queries;
-    pruned += result.range_pruned;
-    conflicts += result.sat_conflicts;
-    reuse_hits += result.model_reuse_hits;
-    folds += result.simplifier_folds;
-    for (const auto& vuln : result.vulns) {
-      if (vuln.kind == VulnKind::kOutOfBounds) {
+  for (const auto& row : rows) {
+    paths += static_cast<uint64_t>(row[0]);
+    completed += static_cast<uint64_t>(row[1]);
+    queries += static_cast<uint64_t>(row[2]);
+    pruned += static_cast<uint64_t>(row[3]);
+    conflicts += static_cast<uint64_t>(row[4]);
+    reuse_hits += static_cast<uint64_t>(row[5]);
+    folds += static_cast<uint64_t>(row[6]);
+    const size_t nvulns = static_cast<size_t>(row[7]);
+    vuln_sites += nvulns;
+    for (size_t v = 0; v < nvulns; ++v) {
+      if (static_cast<int>(row[8 + 2 * v]) == static_cast<int>(VulnKind::kOutOfBounds)) {
         ++oob_sites;
       } else {
         ++div_sites;
       }
-      max_fraction = std::max(max_fraction, vuln.exploit_fraction);
-      sum_fraction += vuln.exploit_fraction;
+      const double fraction = row[9 + 2 * v];
+      max_fraction = std::max(max_fraction, fraction);
+      sum_fraction += fraction;
     }
   }
+  metrics::FeatureVector fv;
   fv.Set("symx.entries", static_cast<double>(entries.size()));
   fv.Set("symx.paths", static_cast<double>(paths));
   fv.Set("symx.paths_completed", static_cast<double>(completed));

@@ -11,6 +11,7 @@
 #define SRC_SYMEXEC_EXECUTOR_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -73,7 +74,7 @@ struct SymExecOptions {
   int exploit_sample_trials = 512;  // Monte-Carlo trials per vulnerability.
   // SymexFeatures explores at most this many entry functions per module
   // (call-graph roots beyond the cap are skipped, keeping per-file cost
-  // bounded on large generated modules).
+  // bounded on large generated modules); <= 0 explores every root.
   int max_entries = 8;
   uint64_t rng_seed = 0x5ec0de;
   // Cooperative watchdog: per-entry step budget (0 = unlimited). Each
@@ -132,13 +133,28 @@ struct SymExecResult {
 SymExecResult Explore(const lang::IrModule& module, const std::string& entry,
                       const SymExecOptions& options = {});
 
-// Feature extraction: explores from main() when present, otherwise from
-// every call-graph root, and summarises into "symx.*" features. Entries are
-// explored in parallel on the global thread pool; each entry's exploration
-// seeds its RNG via Rng::TaskSeed(options.rng_seed, entry_index), so the
-// result is bit-identical at any CLAIR_THREADS value.
+// One entry's exploration as the positional payload SymexFeatures folds:
+// {paths explored, paths completed, solver queries, range-pruned checks,
+// SAT conflicts, model-reuse hits, simplifier folds, vuln count N}, then N
+// (VulnKind, exploit fraction) pairs in SymExecResult::vulns order.
+std::vector<double> ExplorePayload(const lang::IrModule& module, const std::string& entry,
+                                   const SymExecOptions& options);
+
+// Source of one entry's payload in SymexFeatures: ExplorePayload itself, or a
+// cache in front of it that returns exactly the same row. Called
+// concurrently from pool workers.
+using EntryPayloadFn = std::function<std::vector<double>(
+    const std::string& entry, const SymExecOptions& entry_options)>;
+
+// Feature extraction: explores from metrics::EntryFunctions (main when
+// present, otherwise up to options.max_entries call-graph roots) and folds
+// the entries' payloads into "symx.*" features. Entries are explored in
+// parallel on the global thread pool; each entry's exploration seeds its RNG
+// via Rng::TaskSeed(options.rng_seed, entry_index), and the fold runs in
+// entry order, so the result is bit-identical at any CLAIR_THREADS value.
 metrics::FeatureVector SymexFeatures(const lang::IrModule& module,
-                                     const SymExecOptions& options = {});
+                                     const SymExecOptions& options = {},
+                                     const EntryPayloadFn& payload = nullptr);
 
 // Number of times an exploration recycled its thread's persistent solver
 // session instead of constructing a fresh SatSolver (first lease on a thread

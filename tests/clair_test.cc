@@ -288,6 +288,19 @@ TEST_F(ClairTest, FeatureCacheRejectsCorruptRowsAndRecomputes) {
     EXPECT_FALSE(cache.Lookup(43, &out));
   }
   EXPECT_EQ(cache.stats().integrity_rejects, 2u);
+
+  // The per-function payload tier shares the guard.
+  RowCache payloads;
+  const std::vector<double> payload = {3.0, 0.5, 12.0};
+  payloads.Insert(7, payload);
+  ASSERT_TRUE(payloads.CorruptEntryForTest(7));
+  std::vector<double> payload_out;
+  EXPECT_FALSE(payloads.Lookup(7, &payload_out));
+  EXPECT_EQ(payloads.stats().integrity_rejects, 1u);
+  EXPECT_EQ(payloads.stats().entries, 0u);
+  payloads.Insert(7, payload);
+  ASSERT_TRUE(payloads.Lookup(7, &payload_out));
+  EXPECT_EQ(payload_out, payload);
 }
 
 TEST_F(ClairTest, BudgetPolicyHoldsUnderInjectedParseFaults) {

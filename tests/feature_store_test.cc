@@ -17,12 +17,18 @@
 #include "src/ml/eval.h"
 #include "src/ml/tree.h"
 #include "src/support/rng.h"
+#include "src/support/scratch_dir.h"
 
 namespace {
 
-std::string TempPath(const char* name) {
-  return ::testing::TempDir() + "/" + name;
+// Per-process scratch directory: this binary's CLAIR_THREADS twin runs
+// concurrently under `ctest -j`, so fixed names would collide.
+const support::ScratchDir& Scratch() {
+  static const support::ScratchDir dir("feature_store_test");
+  return dir;
 }
+
+std::string TempPath(const char* name) { return Scratch().File(name); }
 
 // Synthetic classification rows: a few informative columns, one
 // high-cardinality column (exercises quantile compression at small

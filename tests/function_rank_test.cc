@@ -16,6 +16,7 @@
 #include "src/metrics/extract.h"
 #include "src/ml/tree.h"
 #include "src/support/rng.h"
+#include "src/support/scratch_dir.h"
 
 namespace {
 
@@ -27,9 +28,14 @@ corpus::EcosystemGenerator SmallEcosystem() {
   return corpus::EcosystemGenerator(options);
 }
 
-std::string TempPath(const char* name) {
-  return ::testing::TempDir() + "/" + name;
+// Per-process scratch directory: this binary's CLAIR_THREADS twin runs
+// concurrently under `ctest -j`, so fixed names would collide.
+const support::ScratchDir& Scratch() {
+  static const support::ScratchDir dir("function_rank_test");
+  return dir;
 }
+
+std::string TempPath(const char* name) { return Scratch().File(name); }
 
 std::string ReadFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);

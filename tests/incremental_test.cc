@@ -1,7 +1,8 @@
 // Function-granular incremental extraction: content addressing, diff
 // planning, version history, warm re-scores that only re-run changed
 // functions, checkpoint/version splicing, and store splicing — every path
-// pinned bit-identical to the from-scratch module-level battery.
+// pinned bit-identical to from-scratch extraction with the function cache
+// disabled.
 #include "src/clair/incremental.h"
 
 #include <cstdio>
@@ -23,6 +24,7 @@
 #include "src/metrics/extract.h"
 #include "src/ml/feature_store.h"
 #include "src/support/fault_injection.h"
+#include "src/support/scratch_dir.h"
 
 namespace {
 
@@ -34,9 +36,14 @@ corpus::EcosystemGenerator SmallEcosystem() {
   return corpus::EcosystemGenerator(options);
 }
 
-std::string TempPath(const char* name) {
-  return ::testing::TempDir() + "/" + name;
+// Per-process scratch directory: this binary's CLAIR_THREADS twin runs
+// concurrently under `ctest -j`, so fixed names would collide.
+const support::ScratchDir& Scratch() {
+  static const support::ScratchDir dir("incremental_test");
+  return dir;
 }
+
+std::string TempPath(const char* name) { return Scratch().File(name); }
 
 std::string ReadFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -386,14 +393,14 @@ TEST(Incremental, WarmRescoreRecomputesOnlyChangedFunctions) {
   EXPECT_GE(after.dynamic_files_reused - before.dynamic_files_reused, 1u);
 
   // The warm result is bit-identical to a from-scratch extraction of the
-  // edited tree — granular path (fresh caches) and module-level path alike.
+  // edited tree — through fresh caches and with the function cache off.
   clair::Testbed scratch(eco, options);
   EXPECT_EQ(warm.values(), scratch.ExtractFeatures(edited).values());
-  clair::TestbedOptions module_options = options;
-  module_options.cache_functions = false;
-  clair::Testbed module_path(eco, module_options);
-  EXPECT_EQ(warm.values(), module_path.ExtractFeatures(edited).values());
-  EXPECT_EQ(cold.values(), module_path.ExtractFeatures(files).values());
+  clair::TestbedOptions uncached_options = options;
+  uncached_options.cache_functions = false;
+  clair::Testbed uncached(eco, uncached_options);
+  EXPECT_EQ(warm.values(), uncached.ExtractFeatures(edited).values());
+  EXPECT_EQ(cold.values(), uncached.ExtractFeatures(files).values());
   // And the edit actually moved something.
   EXPECT_NE(warm.values(), cold.values());
 }
@@ -401,11 +408,11 @@ TEST(Incremental, WarmRescoreRecomputesOnlyChangedFunctions) {
 TEST(Incremental, CollectBitIdenticalAcrossThreadsAndPaths) {
   const auto eco = SmallEcosystem();
 
-  clair::TestbedOptions module_options;
-  module_options.cache_functions = false;
-  module_options.threads = 1;
+  clair::TestbedOptions uncached_options;
+  uncached_options.cache_functions = false;
+  uncached_options.threads = 1;
   const std::string golden =
-      clair::SaveRecords(clair::Testbed(eco, module_options).Collect());
+      clair::SaveRecords(clair::Testbed(eco, uncached_options).Collect());
 
   for (int threads : {1, 4, 0}) {
     clair::TestbedOptions options;
@@ -418,26 +425,82 @@ TEST(Incremental, CollectBitIdenticalAcrossThreadsAndPaths) {
   }
 }
 
-TEST(Incremental, ArmedFaultsFallBackToModulePath) {
-  const auto eco = SmallEcosystem();
-  const corpus::AppSpec* spec = FindRichSpec(eco, 1, 1);
-  ASSERT_NE(spec, nullptr);
-  const auto files = eco.GenerateSources(*spec);
+uint64_t Reused(const clair::IncrementalStats& s) {
+  return s.parse_reused + s.file_rows_reused + s.fn_dataflow_reused + s.fn_intervals_reused +
+         s.symexec_entries_reused + s.dynamic_files_reused;
+}
 
-  support::FaultInjector::ScopedConfig scoped("dataflow:0.5,seed:7");
-  clair::TestbedOptions granular_options;
-  clair::TestbedOptions module_options;
-  module_options.cache_functions = false;
-  const clair::Testbed granular(eco, granular_options);
-  const clair::Testbed module_path(eco, module_options);
-  const auto a = granular.ExtractFeatures(files);
-  const auto b = module_path.ExtractFeatures(files);
-  // With a fault site armed the granular testbed runs the module-level path
-  // verbatim, so injection semantics (and bytes) are identical.
-  EXPECT_EQ(a.values(), b.values());
-  // The fallback really did bypass the granular tiers.
-  const auto stats = granular.incremental_stats();
-  EXPECT_EQ(stats.fn_dataflow_computed + stats.fn_dataflow_reused, 0u);
+uint64_t Timeouts(const clair::RunReport& report) {
+  uint64_t timeouts = 0;
+  for (const auto& [name, stage] : report.stages) {
+    timeouts += stage.timeouts;
+  }
+  return timeouts;
+}
+
+// Smoke-corpus sweep settings shared by the equivalence tests below.
+clair::TestbedOptions SmokeSweep(bool cache_functions) {
+  clair::TestbedOptions options;
+  options.cache_features = false;
+  options.deep_analysis_max_files = 1;
+  options.cache_functions = cache_functions;
+  return options;
+}
+
+TEST(Incremental, ArmedFaultsBypassTheFunctionCache) {
+  const auto eco = SmallEcosystem();
+  support::FaultInjector::ScopedConfig scoped(
+      "parse:0.3,solver:0.4,dynamic:0.3,intervals:0.2,dataflow:0.3,seed:9");
+  clair::TestbedOptions cached_options = SmokeSweep(true);
+  cached_options.stage_retries = 1;
+  clair::TestbedOptions fresh_options = cached_options;
+  fresh_options.cache_functions = false;
+  const clair::Testbed cached(eco, cached_options);
+  const std::string golden = clair::SaveRecords(clair::Testbed(eco, fresh_options).Collect());
+  // With a fault site armed the caches are not admitted: every unit is
+  // computed fresh, so injection verdicts (and bytes) match the cache-off
+  // testbed — on a repeat sweep too — and nothing is ever served.
+  EXPECT_EQ(clair::SaveRecords(cached.Collect()), golden);
+  EXPECT_EQ(clair::SaveRecords(cached.Collect()), golden);
+  EXPECT_EQ(Reused(cached.incremental_stats()), 0u);
+  uint64_t injected = 0;
+  for (const auto& [name, stage] : cached.run_report().stages) {
+    injected += stage.injected;
+  }
+  EXPECT_GT(injected, 0u);
+}
+
+TEST(Incremental, TrippingBudgetsReplayIdenticallyWarmAndCold) {
+  const auto eco = SmallEcosystem();
+  // Budgets that trip on this corpus: some stages time out, the rest
+  // complete and cache their payloads. 50000 and 8000 trip dynamic traces
+  // and symexec; 1500 also trips intervals, whose cached payloads must
+  // replay their recorded step deltas into the shared stage deadline (on a
+  // retry within the cold sweep as well as on the warm one).
+  for (const uint64_t budget : {50000ull, 8000ull, 1500ull}) {
+    clair::TestbedOptions cached_options = SmokeSweep(true);
+    cached_options.stage_step_budget = budget;
+    clair::TestbedOptions fresh_options = cached_options;
+    fresh_options.cache_functions = false;
+    const clair::Testbed testbed(eco, cached_options);
+    const std::string cold = clair::SaveRecords(testbed.Collect());
+    const auto cold_stats = testbed.incremental_stats();
+    EXPECT_EQ(clair::SaveRecords(testbed.Collect()), cold) << "budget=" << budget;
+    const auto warm_stats = testbed.incremental_stats();
+    EXPECT_EQ(clair::SaveRecords(clair::Testbed(eco, fresh_options).Collect()), cold)
+        << "budget=" << budget;
+    const clair::RunReport report = testbed.run_report();
+    EXPECT_GT(Timeouts(report), 0u) << "budget=" << budget;
+    if (budget == 1500) {
+      EXPECT_GT(report.stages.at("intervals").timeouts, 0u);
+    }
+    EXPECT_GT(warm_stats.parse_reused, cold_stats.parse_reused);
+    EXPECT_GT(warm_stats.file_rows_reused, cold_stats.file_rows_reused);
+    EXPECT_GT(warm_stats.fn_dataflow_reused, cold_stats.fn_dataflow_reused);
+    EXPECT_GT(warm_stats.fn_intervals_reused, cold_stats.fn_intervals_reused);
+    EXPECT_GT(warm_stats.symexec_entries_reused, cold_stats.symexec_entries_reused);
+    EXPECT_GT(warm_stats.dynamic_files_reused, cold_stats.dynamic_files_reused);
+  }
 }
 
 // --- Checkpoint splicing across corpus versions ------------------------------

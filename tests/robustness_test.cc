@@ -21,6 +21,7 @@
 #include "src/clair/testbed.h"
 #include "src/corpus/ecosystem.h"
 #include "src/support/fault_injection.h"
+#include "src/support/scratch_dir.h"
 #include "src/support/strings.h"
 
 namespace clair {
@@ -48,11 +49,18 @@ std::string ReadFile(const std::string& path) {
   return buffer.str();
 }
 
+// Per-process scratch directory, so concurrent test processes never share
+// a checkpoint path.
+const support::ScratchDir& Scratch() {
+  static const support::ScratchDir dir("robustness_test");
+  return dir;
+}
+
 std::string TempPath(const char* name) {
   const ::testing::TestInfo* info =
       ::testing::UnitTest::GetInstance()->current_test_info();
-  return ::testing::TempDir() + info->test_suite_name() + "_" + info->name() +
-         "_" + name;
+  return Scratch().File(std::string(info->test_suite_name()) + "_" + info->name() + "_" +
+                        name);
 }
 
 // Every site forced on, one at a time: the sweep must complete with every

@@ -32,6 +32,7 @@
 #include "src/corpus/ecosystem.h"
 #include "src/metrics/extract.h"
 #include "src/support/fault_injection.h"
+#include "src/support/scratch_dir.h"
 #include "src/support/strings.h"
 
 namespace clair {
@@ -64,11 +65,18 @@ std::string ReadFile(const std::string& path) {
   return buffer.str();
 }
 
+// Per-process scratch directory: this binary's CLAIR_THREADS twin runs
+// concurrently under `ctest -j`, so fixed names would collide.
+const support::ScratchDir& Scratch() {
+  static const support::ScratchDir dir("shard_test");
+  return dir;
+}
+
 std::string MakeWorkDir(const char* name) {
   const ::testing::TestInfo* info =
       ::testing::UnitTest::GetInstance()->current_test_info();
-  const std::string dir = ::testing::TempDir() + info->test_suite_name() + "_" +
-                          info->name() + "_" + name;
+  const std::string dir = Scratch().File(std::string(info->test_suite_name()) + "_" +
+                                         info->name() + "_" + name);
   ::mkdir(dir.c_str(), 0755);
   return dir;
 }
@@ -85,7 +93,7 @@ class ShardSweepTest : public ::testing::Test {
     ASSERT_GT(records.size(), 0u);
     baseline_records_ = new std::string(SaveRecords(records));
     baseline_fold_ = new std::string(SaveRunReport(SummarizeRecordRobustness(records)));
-    const std::string store_path = ::testing::TempDir() + "shard_baseline.clfs";
+    const std::string store_path = Scratch().File("shard_baseline.clfs");
     auto writer = ml::FeatureStoreWriter::Create(
         store_path, metrics::FunctionFeatureNames(), FunctionClassNames(),
         ml::FeatureStoreOptions{});

@@ -1,8 +1,11 @@
 // Unit tests for the support layer: statistics, strings, RNG determinism,
-// Result arm safety, cooperative deadlines, and deterministic fault injection.
+// Result arm safety, cooperative deadlines, deterministic fault injection,
+// and per-process scratch directories.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
+#include <fstream>
 #include <thread>
 #include <vector>
 
@@ -10,6 +13,7 @@
 #include "src/support/fault_injection.h"
 #include "src/support/result.h"
 #include "src/support/rng.h"
+#include "src/support/scratch_dir.h"
 #include "src/support/stats.h"
 #include "src/support/strings.h"
 
@@ -373,6 +377,21 @@ TEST(FaultInjector, FaultKeyMatchesFnvAndMixes) {
   EXPECT_EQ(FaultKey("abc"), FaultKey("abc"));
   EXPECT_NE(FaultKey("abc"), FaultKey("abd"));
   EXPECT_NE(FaultKeyMix(1, 2), FaultKeyMix(2, 1));
+}
+
+TEST(ScratchDir, DistinctPerInstanceAndRemovedRecursively) {
+  std::string kept;
+  {
+    const ScratchDir a("support_test");
+    const ScratchDir b("support_test");
+    EXPECT_NE(a.path(), b.path());
+    ASSERT_TRUE(std::filesystem::is_directory(a.path()));
+    EXPECT_EQ(a.File("x.bin"), a.path() + "/x.bin");
+    std::filesystem::create_directory(a.File("nested"));
+    std::ofstream(a.File("nested/file.txt")) << "bytes";
+    kept = a.path();
+  }
+  EXPECT_FALSE(std::filesystem::exists(kept));
 }
 
 }  // namespace
